@@ -164,8 +164,6 @@ fn main() {
                         commit_skipped: stage.commit_skipped,
                         router_carry_merges: stage.router_carry_merges,
                         router_carried_peak: stage.router_carried_peak,
-                        scope_cache_hits: stage.scope_cache_hits,
-                        warm_seeds_used: stage.warm_seeds_used,
                         peak_alloc_bytes,
                     },
                 ));
@@ -249,8 +247,6 @@ fn main() {
                     commit_skipped: stage.commit_skipped,
                     router_carry_merges: stage.router_carry_merges,
                     router_carried_peak: stage.router_carried_peak,
-                    scope_cache_hits: stage.scope_cache_hits,
-                    warm_seeds_used: stage.warm_seeds_used,
                     peak_alloc_bytes,
                 },
             ));

@@ -822,11 +822,11 @@ quit
         summary.unwrap();
         assert!(out.contains(&format!("wrote {}", sol.to_str().unwrap())), "{out}");
         let text = std::fs::read_to_string(&sol).unwrap();
-        // The text format carries fragments only (forced zero-fragment
-        // replicas are recomputed by consumers), so compare what it keeps.
+        // The text format keeps the fragments and the full replica set.
         let parsed = tree_io::parse_solution(&text).unwrap();
         let current = engine.solution();
         assert_eq!(parsed.fragments().collect::<Vec<_>>(), current.fragments().collect::<Vec<_>>());
+        assert_eq!(parsed.replicas(), current.replicas());
         assert!(text.contains(&format!("replicas {}", current.replica_count())), "{text}");
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -15,53 +15,86 @@
 //!   assignments kept fixed, exactly as in the paper's oversized-stage
 //!   regime.
 //!
-//! Both modes run the same size-capped min-plus convolution ([`dp_core`])
-//! over the stage's **active forest** — the union of the demand clients'
-//! paths to the stage root, computed once per stage in `stage/mod.rs` —
-//! never the whole subtree. The restriction is exact: a free node whose
-//! subtree holds no stage demand can never reduce pass-up volume (its
-//! `m ≡ 0` already), and an off-forest existing replica is an ancestor of
-//! no demanding client, so its spare is unusable under the Multiple
-//! policy. A pass is therefore O(|active| · rmax), not O(|subtree| · rmax).
+//! Both modes run one pass of the same recurrence over the stage's
+//! **active forest** — the union of the demand clients' paths to the stage
+//! root, computed once per stage in `stage/mod.rs` — never the whole
+//! subtree. The restriction is exact: a free node whose subtree holds no
+//! stage demand can never reduce pass-up volume (its `m ≡ 0` already), and
+//! an off-forest existing replica is an ancestor of no demanding client, so
+//! its spare is unusable under the Multiple policy.
 //!
-//! All DP state lives in the pooled slabs of
-//! [`DpPool`](crate::scratch::DpPool) inside [`SolverScratch`]: one
-//! contiguous `u64` slab holds every per-node `m` vector (volumes are
-//! bounded by the tree-wide total — see the width-narrowing notes in
-//! `crate::scratch`), flat `u32` slabs hold the argmin split layers and
-//! the backtrack `used_r` redirects with the placed-a-replica flag packed
-//! into [`PLACED_BIT`], all addressed by per-position offsets and reset by
-//! truncation — a steady-state pass performs **zero heap allocation**.
-//! When the fallback has to widen `rmax`
-//! (existing full replicas can push the optimum past the volume bound), the
-//! slab generations are swapped and the capped vectors are **extended in
-//! place**: cells below the old cap are exact untruncated values, so they
-//! are copied over and only the new cells pay for min-plus work.
+//! # The recurrence and its convex representation
+//!
+//! `m_u(r)` is the minimal volume that must leave `u`'s part of the forest
+//! when `r` new replicas are opened inside it, given the replicas already
+//! placed. Children combine by min-plus convolution; a free node may spend
+//! one replica to subtract `W`; an existing replica contributes for free —
+//! its spare capacity in strict mode, its whole capacity in the re-routing
+//! relaxation. Exact for the fungible volume because distances never bind
+//! moving towards a client. A part with `f` free nodes has an `f + 1`-entry
+//! vector (it cannot host more new replicas than it has free nodes).
+//!
+//! Every such vector is **convex, non-increasing, and drops by at most `W`
+//! per step**:
+//!
+//! * a client singleton `[own]` has no steps;
+//! * a free-node apply shifts the vector by one slot and subtracts `W`,
+//!   creating exactly one new step `min(W, m(0))` — the largest step the
+//!   vector can hold, so convexity is preserved;
+//! * an existing replica subtracts its spare with a clamp at zero, which
+//!   only shortens the step tail (one partial crossing step, zeros after);
+//! * min-plus convolution of two convex sequences is the sorted merge of
+//!   their step multisets (the classic convex-conjugacy fact), again convex
+//!   with the same step bound.
+//!
+//! A vector is therefore fully described by its value at `r = 0`, its
+//! length, and a list of `(count, step)` segments with strictly decreasing
+//! steps, and the pass works on that form alone. On a maximal chain or a
+//! caterpillar (the spine families, and most near-chain stage forests of
+//! the huge tier) the segment count stays O(1), because every free node
+//! contributes the *same* step `W`, which merges into one segment, while
+//! clamp residuals are cut away as soon as the value floors at zero.
+//!
+//! **No size cap is needed.** Every segment holds at least one step, and
+//! every step was created by one free node of the part (merges add counts,
+//! clamps only remove), so a node's segment count is at most its strict
+//! step count, which is at most the free nodes in its part — the length a
+//! size-capped dense table would need anyway. A convolution is a linear
+//! merge of the two segment lists, so the pass is never asymptotically
+//! worse than the dense O(|active| · rmax) tree knapsack, and on the chain
+//! shapes it is O(|active|). Debug builds assert the bound at every node.
+//!
+//! # The chosen placement
+//!
+//! When the root's table reaches zero, the smallest such `r` is `rmin`
+//! and a backtrack unwinds one minimum placement into
+//! [`SolverScratch::best_set`] with fixed tie-breaks (the placements the
+//! pinned bench counts rest on):
+//!
+//! * extra replicas beyond the strict prefix are left unused: a queried
+//!   `r` is redirected to `r₀ = min(r, strict)`;
+//! * a free node prefers placing on ties — capacity high in the subtree
+//!   can also serve travelling requests later — so it opens a replica iff
+//!   `r₀ ≥ 1` (the step bound `≤ W` makes placing never worse);
+//! * a convolution split gives the child the *largest* optimal share: the
+//!   split objective `G(rp) = base(rp) + child(r − rp)` is convex, and the
+//!   split is the first `rp` where `ΔG(rp) ≥ 0`, found by binary search
+//!   over the two step sequences.
+//!
+//! All DP state lives in the pooled [`SparseDp`] inside [`SolverScratch`]:
+//! every buffer keeps its capacity across stages and solves, so a
+//! steady-state pass performs no heap allocation.
 
 use crate::error::SolveError;
-use crate::scratch::{DpPool, SolverScratch};
+use crate::scratch::SolverScratch;
 use crate::stage::PendingRequest;
 use rp_tree::{NodeId, Requests};
-
-/// Large-but-safe sentinel for infeasible dynamic-program states: ≈ 2⁶³,
-/// strictly above every genuine volume (≤ the tree-wide total ≤ 2⁶², see
-/// the width-narrowing notes in `crate::scratch`), with enough headroom
-/// that `genuine + INFEASIBLE < u64::MAX` never wraps before the clamp.
-const INFEASIBLE: u64 = u64::MAX / 2;
-
-/// Flag bit packed into the high bit of each [`DpSlabs`](crate::scratch::DpSlabs)
-/// `used_r` cell: set when that `r` opens a replica at the node. Packing the
-/// flag saves a parallel byte-per-cell slab; sound because `rmax` is capped
-/// by the free-node count of the active forest, far below 2³¹ (asserted per
-/// pass).
-pub(crate) const PLACED_BIT: u32 = 1 << 31;
 
 /// Runs the relaxed dynamic program as a lower bound on the enumeration:
 /// the smallest `r ≤ rmax` for which the full stage demand fits `r` new
 /// replicas plus the existing ones at full capacity, ignoring deadlines.
 /// Runs over the stage's active forest — the enumeration only ever places
-/// on active nodes, so the bound stays valid (and tighter) while the pass
-/// is O(|active| · rmax) instead of O(|subtree| · rmax). The minimising
+/// on active nodes, so the bound stays valid (and tighter). The minimising
 /// placement is left in `scratch.best_set` (a seed for the incumbent).
 /// `None` when every `r ≤ rmax` leaves volume unserved.
 pub(crate) fn lower_bound(
@@ -80,18 +113,12 @@ pub(crate) fn lower_bound(
         active_pos,
         active_mark,
         stage_id,
-        dp_pool,
         sdp,
         stats,
         ..
     } = scratch;
     let stamp = *stage_id;
-    let pos = |v: u32| active_pos[v as usize] as usize;
-    let child_ok = |c: u32| active_mark[c as usize] == stamp;
-    // The sparse convex pass computes the same table (and the same seed
-    // placement when `rmin ≤ rmax`) in O(|active| · segments); it declines
-    // only when a segment list outgrows `chain_dp::SEG_CAP`.
-    if let Some(res) = super::chain_dp::sparse_dp(
+    sparse_dp(
         arena,
         in_r,
         load,
@@ -104,27 +131,8 @@ pub(crate) fn lower_bound(
         true,
         rmax,
         &mut stats.dp_node_visits,
-        &pos,
-        &child_ok,
-    ) {
-        return res.ok();
-    }
-    dp_core(
-        arena,
-        in_r,
-        load,
-        demand,
-        best_set,
-        dp_pool,
-        active_nodes,
-        j,
-        rmax,
-        cap,
-        true,
-        None,
-        &mut stats.dp_node_visits,
-        &pos,
-        &child_ok,
+        &|v| active_pos[v as usize] as usize,
+        &|c| active_mark[c as usize] == stamp,
     )
     .ok()
 }
@@ -145,7 +153,6 @@ pub(crate) fn fallback_placement(
     j: u32,
     stuck: &[PendingRequest],
 ) -> Result<(), SolveError> {
-    let cap = w;
     {
         let s = &mut *scratch;
         s.dp_clients.clear();
@@ -156,31 +163,23 @@ pub(crate) fn fallback_placement(
             s.dp_demand[t.client as usize] += t.w;
         }
     }
-    // Narrow the forest to the *stuck* clients' paths for the DP passes:
+    // Narrow the forest to the *stuck* clients' paths for the DP pass:
     // a free node off every stuck path has `m ≡ 0` and an off-path
     // existing replica's spare absorbs no stuck volume, so neither can be
     // part of a minimum placement (handing either a replica share would
     // make the stage feasible with fewer — contradicting `rmin`'s
     // first-zero minimality). The DP therefore returns the same `rmin`
     // and the same placement as over the stage's full scope forest, at a
-    // fraction of the O(|forest| · rmax) pass cost. The caller restores
-    // the scope forest before the commit route.
+    // fraction of the cost. The caller restores the scope forest before
+    // the commit route.
     scratch.stage_id += 1;
     let dp_clients = std::mem::take(&mut scratch.dp_clients);
     scratch.build_active_forest(j, &dp_clients);
     scratch.dp_clients = dp_clients;
-    let total: u64 = scratch.dp_clients.iter().map(|&c| scratch.dp_demand[c as usize]).sum();
-    // No `r` beyond the active forest's free-node count can help: the DP's
-    // vectors are truncated there (a subtree cannot host more new replicas
-    // than it has free nodes), so `m_j` is flat past it.
+    // No `r` beyond the active forest's free-node count can help: the root
+    // table ends there.
     let free_active = scratch.active_nodes.iter().filter(|&&u| !scratch.in_r[u as usize]).count();
-    // The sparse convex pass needs no size cap (its per-node storage is a
-    // few segments, not `rmax` cells), so it runs uncapped once — no
-    // widening schedule, no slab growth — and is exact whenever it
-    // completes. It declines (`None`) only when a segment list outgrows
-    // `chain_dp::SEG_CAP`; the dense capped-and-widened loop below is then
-    // the fallback's fallback.
-    let sparse = {
+    let found = {
         let SolverScratch {
             arena,
             in_r,
@@ -196,7 +195,7 @@ pub(crate) fn fallback_placement(
             ..
         } = &mut *scratch;
         let stamp = *stage_id;
-        super::chain_dp::sparse_dp(
+        sparse_dp(
             arena,
             in_r,
             load,
@@ -205,56 +204,14 @@ pub(crate) fn fallback_placement(
             sdp,
             active_nodes,
             j,
-            cap,
+            w,
             false,
             free_active,
             &mut stats.dp_node_visits,
             &|v| active_pos[v as usize] as usize,
             &|c| active_mark[c as usize] == stamp,
         )
-    };
-    let mut rmax = free_active;
-    let found = if let Some(res) = sparse {
-        res.is_ok()
-    } else {
-        // ⌈V/W⌉ is usually enough; obstructions by existing full replicas
-        // can push the optimum higher, so widen on demand.
-        rmax = ((total.div_ceil(cap) as usize) + 2).min(free_active);
-        // Warm start (see the module docs of `stage`): when the previous
-        // committed stage's root sits inside this stage's scope, its
-        // committed size is an informed guess at the capacity obstruction
-        // the volume bound cannot see — seed the schedule there and skip
-        // the widening rounds that would rediscover it. Result-safe by
-        // cap-independence: the initial `rmax` only shapes the widening
-        // schedule, never the surviving placement.
-        if scratch.warm_hit {
-            let warm = (scratch.warm_rmax as usize).min(free_active);
-            if warm > rmax {
-                rmax = warm;
-                scratch.stats.warm_seeds_used += 1;
-            }
-        }
-        let mut widen_from = None;
-        loop {
-            match run_strict_dp(scratch, cap, j, rmax, widen_from) {
-                Ok(_) => break true,
-                Err(leftover) => {
-                    if rmax >= free_active {
-                        break false;
-                    }
-                    // Informed widening: one extra replica absorbs at most
-                    // `W` of the leftover, so `rmin ≥ rmax + ⌈leftover/W⌉`
-                    // — jump straight there instead of doubling (the jump
-                    // is usually exact, and overshooting is what makes
-                    // widening passes expensive). A 9/8 geometric floor
-                    // guarantees progress towards `free_active` when the
-                    // bound increments slowly.
-                    let informed = rmax + (leftover.div_ceil(cap) as usize).max(1);
-                    widen_from = Some(rmax);
-                    rmax = informed.max(rmax + rmax / 8).min(free_active);
-                }
-            }
-        }
+        .is_ok()
     };
     let s = &mut *scratch;
     for &c in s.dp_clients.iter() {
@@ -264,329 +221,382 @@ pub(crate) fn fallback_placement(
     if found {
         Ok(())
     } else {
-        Err(SolveError::StageDpExhausted { node: NodeId(j), rmax: rmax as u64 })
+        Err(SolveError::StageDpExhausted { node: NodeId(j), rmax: free_active as u64 })
     }
 }
 
-/// The strict (fallback) configuration of [`dp_core`]: demand is the stuck
-/// volume, existing replicas contribute only their spare, and the pass
-/// walks the stage's active forest. `widen_from` carries the previous
-/// pass's `rmax` when the capped vectors are being extended in place.
-fn run_strict_dp(
-    scratch: &mut SolverScratch,
-    cap: u64,
-    j: u32,
-    rmax: usize,
-    widen_from: Option<usize>,
-) -> Result<usize, u64> {
-    let SolverScratch {
-        arena,
-        in_r,
-        load,
-        dp_demand,
-        best_set,
-        active_nodes,
-        active_pos,
-        active_mark,
-        stage_id,
-        dp_pool,
-        stats,
-        ..
-    } = scratch;
-    let stamp = *stage_id;
-    dp_core(
-        arena,
-        in_r,
-        load,
-        dp_demand,
-        best_set,
-        dp_pool,
-        active_nodes,
-        j,
-        rmax,
-        cap,
-        false,
-        widen_from,
-        &mut stats.dp_node_visits,
-        &|v| active_pos[v as usize] as usize,
-        &|c| active_mark[c as usize] == stamp,
-    )
+/// One convex vector: `m(r) = v0 − Σ` of the first `min(r, strict)` steps,
+/// for `r` in `0..len`, where the steps are `cnt[i]` copies of `step[i]`
+/// (steps strictly decreasing, all positive) and `strict = Σ cnt[i]`.
+/// Borrowed views into the pooled slabs of [`SparseDp`].
+#[derive(Clone, Copy)]
+struct Rep<'a> {
+    v0: u64,
+    len: usize,
+    cnt: &'a [u32],
+    step: &'a [u64],
 }
 
-/// One pass of the stage dynamic program over `order` (a post-order node
-/// sequence; `pos` maps a node to its index, `child_ok` filters the
-/// children that participate): `m_u(r)` is the minimal volume that must
-/// leave `u`'s part of the forest when `r` new replicas are opened inside
-/// it, given the replicas already placed. Children combine by min-plus
-/// convolution; a free node may spend one replica to subtract `W`; an
-/// existing replica contributes for free — its spare capacity in strict
-/// mode (`full_cap_existing = false`), its whole capacity in the
-/// re-routing relaxation. Exact for the fungible volume because distances
-/// never bind moving towards a client.
-///
-/// Every vector is truncated to min(free nodes of its part, `rmax`) + 1
-/// entries — the classic size-capped tree-knapsack bound, which keeps the
-/// whole pass at O(|order| · rmax) instead of O(|order| · rmax²). Entries
-/// below the cap are exactly the untruncated values, which is what makes
-/// the `widen_from` extension sound: when the caller re-runs the pass with
-/// a larger `rmax`, cells below the old cap are copied from the previous
-/// slab generation (left in `pool.prev` by the caller's swap — see
-/// [`DpPool`]) and only the newly uncovered cells run the convolution.
-///
-/// Returns the smallest `r ≤ rmax` reaching `m_j(r) = 0` (placement
-/// written to `best_set`), or the leftover volume `m_j(rmax)` — the
-/// fallback turns it into the informed widening bound
-/// `rmin ≥ rmax + ⌈leftover / W⌉` (one replica absorbs at most `W`).
+impl Rep<'_> {
+    /// Number of strictly decreasing entries (`m(strict)` is the floor).
+    fn strict(&self) -> usize {
+        self.cnt.iter().map(|&c| c as usize).sum()
+    }
+
+    /// The decrement `m(i) − m(i+1)` (zero beyond the strict prefix).
+    fn step_at(&self, i: usize) -> u64 {
+        let mut at = i;
+        for (&c, &s) in self.cnt.iter().zip(self.step) {
+            if at < c as usize {
+                return s;
+            }
+            at -= c as usize;
+        }
+        0
+    }
+
+    /// `m(r)` (the vector is flat at its floor beyond the strict prefix).
+    fn value_at(&self, r: usize) -> u64 {
+        let mut left = r;
+        let mut v = self.v0;
+        for (&c, &s) in self.cnt.iter().zip(self.step) {
+            let take = left.min(c as usize);
+            v -= take as u64 * s;
+            left -= take;
+            if left == 0 {
+                break;
+            }
+        }
+        v
+    }
+}
+
+/// Pooled storage of the stage DP: per-position reps plus the working
+/// buffers of one convolution and of the backtracking walk. All capacity
+/// survives across stages, so steady-state passes allocate nothing.
+#[derive(Debug, Default)]
+pub(crate) struct SparseDp {
+    /// Per-position `v0` (value at `r = 0`).
+    v0: Vec<u64>,
+    /// Per-position vector length (free nodes in the part + 1).
+    len: Vec<u32>,
+    /// Per-position segment range into `cnt`/`step` (`off[p]..off[p+1]`).
+    off: Vec<u32>,
+    /// Flattened segment counts.
+    cnt: Vec<u32>,
+    /// Flattened segment steps (strictly decreasing within a node).
+    step: Vec<u64>,
+    /// Working rep of the node under construction.
+    wcnt: Vec<u32>,
+    wstep: Vec<u64>,
+    /// Merge target of one convolution (swapped with `wcnt`/`wstep`).
+    tcnt: Vec<u32>,
+    tstep: Vec<u64>,
+    /// Backtrack: per-layer reps of the node being unwound.
+    lv0: Vec<u64>,
+    llen: Vec<u32>,
+    loff: Vec<u32>,
+    lcnt: Vec<u32>,
+    lstep: Vec<u64>,
+    /// Backtrack: participating children of the node being unwound.
+    kids: Vec<u32>,
+    /// Backtrack stack of `(node, replicas)` frames.
+    stack: Vec<(u32, usize)>,
+}
+
+impl SparseDp {
+    fn reset(&mut self, nodes: usize) {
+        self.v0.clear();
+        self.len.clear();
+        self.off.clear();
+        self.cnt.clear();
+        self.step.clear();
+        self.v0.reserve(nodes);
+        self.len.reserve(nodes);
+        self.off.reserve(nodes + 1);
+        self.off.push(0);
+    }
+
+    fn rep(&self, p: usize) -> Rep<'_> {
+        let (a, b) = (self.off[p] as usize, self.off[p + 1] as usize);
+        Rep {
+            v0: self.v0[p],
+            len: self.len[p] as usize,
+            cnt: &self.cnt[a..b],
+            step: &self.step[a..b],
+        }
+    }
+
+    /// Release slab capacity (see `SolverScratch::shrink_to_fit_slabs`).
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.v0.shrink_to_fit();
+        self.len.shrink_to_fit();
+        self.off.shrink_to_fit();
+        self.cnt.shrink_to_fit();
+        self.step.shrink_to_fit();
+        self.lcnt.shrink_to_fit();
+        self.lstep.shrink_to_fit();
+    }
+}
+
+/// Truncates the working segments so their total drop is at most `budget`
+/// (the value clamp at zero): the crossing segment keeps its full steps
+/// that fit plus one partial remainder step, everything beyond is dropped.
+fn clamp_total(cnt: &mut Vec<u32>, step: &mut Vec<u64>, budget: u64) {
+    let mut left = budget;
+    for i in 0..cnt.len() {
+        let seg = cnt[i] as u64 * step[i];
+        if seg <= left {
+            left -= seg;
+            continue;
+        }
+        let fit = (left / step[i]) as u32;
+        let rem = left - fit as u64 * step[i];
+        cnt.truncate(i + 1);
+        step.truncate(i + 1);
+        cnt[i] = fit;
+        if rem > 0 {
+            cnt.push(1);
+            step.push(rem);
+        }
+        if cnt[i] == 0 {
+            cnt.remove(i);
+            step.remove(i);
+        }
+        return;
+    }
+}
+
+/// One pass of the stage DP over `order` (a post-order node sequence;
+/// `pos` maps a node to its index, `child_ok` filters the children that
+/// participate), with existing replicas contributing their whole capacity
+/// when `full_cap_existing` is set and their spare otherwise. Returns
+/// `Ok(rmin)` with the placement in `best_set` when `rmin ≤ r_budget`, and
+/// otherwise `Err(leftover)` — the volume still unserved with `r_budget`
+/// replicas (or with one on every free node, if fewer) — leaving
+/// `best_set` untouched.
 #[allow(clippy::too_many_arguments)]
-fn dp_core(
+fn sparse_dp(
     arena: &rp_tree::arena::TreeArena,
     in_r: &[bool],
     load: &[Requests],
     demand: &[u64],
     best_set: &mut Vec<u32>,
-    pool: &mut DpPool,
+    sp: &mut SparseDp,
     order: &[u32],
     j: u32,
-    rmax: usize,
     cap: u64,
     full_cap_existing: bool,
-    widen_from: Option<usize>,
+    r_budget: usize,
     node_visits: &mut u64,
     pos: &impl Fn(u32) -> usize,
     child_ok: &impl Fn(u32) -> bool,
 ) -> Result<usize, u64> {
-    assert!(rmax < PLACED_BIT as usize, "replica budgets fit below the packed placed flag");
-    if widen_from.is_some() {
-        // The previous pass's slabs become the copy source; its buffers are
-        // recycled as the new current generation.
-        std::mem::swap(&mut pool.cur, &mut pool.prev);
-    }
-    let DpPool { cur, prev, conv_m, conv_arg, .. } = pool;
-    cur.reset();
-    let cap_r = rmax + 1;
-    let old_cap_r = widen_from.map(|r| r + 1);
-
-    for (p, &v) in order.iter().enumerate() {
+    sp.reset(order.len());
+    for &v in order {
         *node_visits += 1;
         let vi = v as usize;
         let own = demand[vi];
 
         // --- min-plus convolution over the participating children ---
-        // The running "base" vector is the previous layer written into the
-        // layer slab (`prev_start`), or the `[own]` singleton before the
-        // first child. Each layer's values are needed again both by the
-        // next layer and by a later widening pass, so they are stored, not
-        // just the argmins.
-        let own_row = [own];
-        let mut prev_len = 1usize;
-        let mut prev_start = usize::MAX; // MAX = base is the `[own]` singleton
-        let mut old_prev_len = 1usize;
-        let mut old_layer_at = old_cap_r.map(|_| prev.layer_off[p] as usize);
+        // The working rep starts as the `[own]` singleton; each child
+        // merges its step segments in (sorted merge = convex min-plus).
+        let mut wv0 = own;
+        let mut wlen = 1usize;
+        sp.wcnt.clear();
+        sp.wstep.clear();
         for &c in arena.children(v) {
             if !child_ok(c) {
                 continue;
             }
             let cp = pos(c);
-            let mc_start = cur.m_off[cp] as usize;
-            let mc = &cur.m[mc_start..cur.m_off[cp + 1] as usize];
-            let len = (prev_len + mc.len() - 1).min(cap_r);
-            conv_m.clear();
-            conv_m.resize(len, INFEASIBLE);
-            conv_arg.clear();
-            conv_arg.resize(len, 0);
-
-            // Copy the cells the previous (smaller-cap) pass already
-            // computed: below its cap they are exact, argmins included.
-            let mut computed_from = 0usize;
-            if let (Some(oc), Some(at)) = (old_cap_r, old_layer_at.as_mut()) {
-                let old_mc_len = (prev.m_off[cp + 1] - prev.m_off[cp]) as usize;
-                let old_len = (old_prev_len + old_mc_len - 1).min(oc);
-                let copy = old_len.min(len);
-                conv_m[..copy].copy_from_slice(&prev.layer_m[*at..*at + copy]);
-                conv_arg[..copy].copy_from_slice(&prev.layer_arg[*at..*at + copy]);
-                *at += old_len;
-                old_prev_len = old_len;
-                computed_from = copy;
-            }
-            // Min-plus over the remaining cells, `rp` ascending then `sc`
-            // ascending (the historical pair order — argmin ties keep the
-            // largest child share). Cells `< computed_from` are skipped by
-            // starting each row at the first `sc` reaching them.
-            let base: &[u64] = if prev_start == usize::MAX {
-                &own_row
-            } else {
-                &cur.layer_m[prev_start..prev_start + prev_len]
-            };
-            for (rp, &vp) in base.iter().enumerate() {
-                if rp >= len {
-                    break;
-                }
-                let sc0 = computed_from.saturating_sub(rp);
-                if sc0 >= mc.len() {
-                    continue; // this row cannot reach any cell ≥ computed_from
-                }
-                for (i, &vc) in mc[sc0..(len - rp).min(mc.len())].iter().enumerate() {
-                    let r = rp + sc0 + i;
-                    // Clamp to the sentinel: a sum with an INFEASIBLE side
-                    // must stay exactly INFEASIBLE, never a larger value the
-                    // feasibility tests below would misread. Two genuine
-                    // sides sum over disjoint demand, so their sum is ≤ the
-                    // tree-wide total ≤ 2⁶² — below the 2⁶³ sentinel — and
-                    // the clamp never distorts a feasible cell (debug-checked
-                    // in 128-bit below).
-                    let val = vp.saturating_add(vc).min(INFEASIBLE);
-                    debug_assert!(
-                        vp >= INFEASIBLE
-                            || vc >= INFEASIBLE
-                            || (vp as u128 + vc as u128) < INFEASIBLE as u128,
-                        "genuine volumes must stay below the narrowed sentinel"
-                    );
-                    if val < conv_m[r] {
-                        conv_m[r] = val;
-                        conv_arg[r] = (sc0 + i) as u32;
-                    }
-                }
-            }
-            prev_start = cur.layer_m.len();
-            prev_len = len;
-            cur.layer_m.extend_from_slice(conv_m);
-            cur.layer_arg.extend_from_slice(conv_arg);
-        }
-        cur.layer_off.push(cur.layer_m.len() as u32);
-
-        // --- apply the node itself; a free node adds one more useful slot ---
-        let own_slot = usize::from(!in_r[vi]);
-        let mlen = (prev_len + own_slot).min(cap_r);
-        let m_start = cur.m.len();
-        let mut computed_from = 0usize;
-        if old_cap_r.is_some() {
-            let old_mlen = (prev.m_off[p + 1] - prev.m_off[p]) as usize;
-            let copy = old_mlen.min(mlen);
-            let o = prev.m_off[p] as usize;
-            cur.m.extend_from_slice(&prev.m[o..o + copy]);
-            cur.used_r.extend_from_slice(&prev.used_r[o..o + copy]);
-            computed_from = copy;
-        }
-        let base = |r: usize| -> u64 {
-            if r >= prev_len {
-                return INFEASIBLE;
-            }
-            if prev_start == usize::MAX {
-                own
-            } else {
-                cur.layer_m[prev_start + r]
-            }
-        };
-        for r in computed_from..mlen {
-            let mut slot = INFEASIBLE;
-            let mut was_placed = false;
-            if in_r[vi] {
-                // Existing replica: spare capacity in strict mode, full
-                // capacity in the re-routing relaxation.
-                let spare = if full_cap_existing { cap } else { cap - load[vi] };
-                if r < prev_len {
-                    // An INFEASIBLE base must stay INFEASIBLE: subtracting
-                    // the spare from the sentinel would *lower* it below the
-                    // sentinel and fabricate a feasible-looking cell.
-                    let b = base(r);
-                    slot = if b < INFEASIBLE { b.saturating_sub(spare) } else { INFEASIBLE };
-                }
-            } else {
-                let keep = base(r);
-                let place = if r >= 1 {
-                    // Same sentinel guard as the existing-replica branch.
-                    let b = base(r - 1);
-                    if b < INFEASIBLE {
-                        b.saturating_sub(cap)
-                    } else {
-                        INFEASIBLE
-                    }
+            let (a, b) = (sp.off[cp] as usize, sp.off[cp + 1] as usize);
+            wv0 += sp.v0[cp];
+            wlen += sp.len[cp] as usize - 1;
+            // Sorted merge of the two step lists, coalescing equal steps.
+            sp.tcnt.clear();
+            sp.tstep.clear();
+            let (mut i, mut k) = (0usize, a);
+            while i < sp.wcnt.len() || k < b {
+                let (c2, s2) = if k >= b || (i < sp.wcnt.len() && sp.wstep[i] >= sp.step[k]) {
+                    let pair = (sp.wcnt[i], sp.wstep[i]);
+                    i += 1;
+                    pair
                 } else {
-                    INFEASIBLE
+                    let pair = (sp.cnt[k], sp.step[k]);
+                    k += 1;
+                    pair
                 };
-                // Prefer placing on ties: capacity high in the subtree can
-                // also serve travelling requests later.
-                if place <= keep && place < INFEASIBLE {
-                    slot = place;
-                    was_placed = true;
+                if let (Some(lc), Some(&ls)) = (sp.tcnt.last_mut(), sp.tstep.last()) {
+                    if ls == s2 {
+                        *lc += c2;
+                        continue;
+                    }
+                }
+                sp.tcnt.push(c2);
+                sp.tstep.push(s2);
+            }
+            std::mem::swap(&mut sp.wcnt, &mut sp.tcnt);
+            std::mem::swap(&mut sp.wstep, &mut sp.tstep);
+        }
+
+        // --- apply the node itself ---
+        if in_r[vi] {
+            // Existing replica: spare in strict mode, full capacity in the
+            // re-routing relaxation; subtract with a clamp at zero.
+            let spare = if full_cap_existing { cap } else { cap - load[vi] };
+            wv0 = wv0.saturating_sub(spare);
+            clamp_total(&mut sp.wcnt, &mut sp.wstep, wv0);
+        } else {
+            // Free node: one new slot whose step is the largest the vector
+            // can hold, then re-clamp the tail at zero.
+            let s = cap.min(wv0);
+            wlen += 1;
+            if s > 0 {
+                debug_assert!(sp.wstep.first().is_none_or(|&f| f <= s));
+                if sp.wstep.first() == Some(&s) {
+                    sp.wcnt[0] += 1;
                 } else {
-                    slot = keep;
+                    sp.wcnt.insert(0, 1);
+                    sp.wstep.insert(0, s);
                 }
             }
-            cur.m.push(slot);
-            cur.used_r.push(r as u32 | if was_placed { PLACED_BIT } else { 0 });
+            clamp_total(&mut sp.wcnt, &mut sp.wstep, wv0);
         }
-        // Monotonicity: extra replicas never hurt (leave them unused). The
-        // copied prefix is already monotone, so the sweep is a no-op there.
-        for r in 1..mlen {
-            let (i, h) = (m_start + r, m_start + r - 1);
-            if cur.m[i] > cur.m[h] {
-                cur.m[i] = cur.m[h];
-                cur.used_r[i] = cur.used_r[h];
-            }
-        }
-        cur.m_off.push(cur.m.len() as u32);
+        // The size bound of the module docs: segments ≤ strict steps ≤
+        // free nodes in the part.
+        debug_assert!({
+            let strict: usize = sp.wcnt.iter().map(|&c| c as usize).sum();
+            sp.wcnt.len() <= strict && strict < wlen
+        });
+
+        sp.v0.push(wv0);
+        sp.len.push(wlen as u32);
+        sp.cnt.extend_from_slice(&sp.wcnt);
+        sp.step.extend_from_slice(&sp.wstep);
+        sp.off.push(sp.cnt.len() as u32);
     }
 
-    let m_root = cur.m_slice(order.len() - 1);
-    let Some(rmin) = (0..m_root.len()).find(|&r| m_root[r] == 0) else {
-        // Monotone, so the last entry is the best the cap allows.
-        return Err(*m_root.last().expect("the forest is non-empty"));
-    };
+    let root = sp.rep(order.len() - 1);
+    let strict = root.strict();
+    let floor = root.value_at(strict);
+    if floor != 0 {
+        return Err(floor);
+    }
+    let rmin = strict;
+    if rmin > r_budget {
+        return Err(root.value_at(r_budget));
+    }
 
-    // Collect the nodes where the chosen solution opens new replicas:
-    // unwind the node layer, then the child convolution layers in reverse.
-    // Layer lengths are recomputed from the children's `m` lengths (the
-    // slabs store one offset per node, not per layer).
+    // --- backtrack: unwind the tie-broken placement (module docs) ---
     best_set.clear();
-    let DpPool { cur, kids, layer_lens, stack, splits, .. } = pool;
-    stack.clear();
-    stack.push((j, rmin));
-    while let Some((v, r)) = stack.pop() {
+    sp.stack.clear();
+    sp.stack.push((j, rmin));
+    while let Some((v, r)) = sp.stack.pop() {
         let p = pos(v);
-        let m_start = cur.m_off[p] as usize;
-        // The monotonicity sweep copies `used_r` cells whole, so the
-        // packed cell already carries the realized `r` *and* its placed
-        // flag (historically read at the redirected index — identical, as
-        // the copy propagates both together).
-        let packed = cur.used_r[m_start + r];
-        let r = (packed & !PLACED_BIT) as usize;
-        let placed = packed & PLACED_BIT != 0;
+        let rep = sp.rep(p);
+        // Replicas beyond the strict prefix are left unused.
+        let r0 = r.min(rep.strict());
+        let placed = !in_r[v as usize] && r0 >= 1;
         if placed {
             best_set.push(v);
         }
-        let mut rest = r - usize::from(placed);
-        kids.clear();
-        kids.extend(arena.children(v).iter().copied().filter(|&c| child_ok(c)));
-        layer_lens.clear();
-        let mut base_len = 1usize;
-        for &c in kids.iter() {
-            base_len = (base_len + cur.m_len(pos(c)) - 1).min(rmax + 1);
-            layer_lens.push(base_len);
+        let mut rest = r0 - usize::from(placed);
+        sp.kids.clear();
+        sp.kids.extend(arena.children(v).iter().copied().filter(|&c| child_ok(c)));
+        if sp.kids.is_empty() {
+            debug_assert_eq!(rest, 0);
+            continue;
         }
-        debug_assert_eq!(
-            cur.layer_off[p] as usize + layer_lens.iter().sum::<usize>(),
-            cur.layer_off[p + 1] as usize
-        );
-        splits.clear();
-        let mut layer_start = cur.layer_off[p + 1] as usize;
-        for k in (0..kids.len()).rev() {
-            layer_start -= layer_lens[k];
-            let sc = cur.layer_arg[layer_start + rest] as usize;
-            rest -= sc;
-            splits.push(sc);
+        // Recompute the convolution layers (L₀ = [own], Lₖ₊₁ = Lₖ ⊗ m_c),
+        // storing each rep so the reverse walk below can query them.
+        sp.lv0.clear();
+        sp.llen.clear();
+        sp.loff.clear();
+        sp.lcnt.clear();
+        sp.lstep.clear();
+        sp.loff.push(0);
+        sp.lv0.push(demand[v as usize]);
+        sp.llen.push(1);
+        sp.loff.push(0);
+        for ki in 0..sp.kids.len() - 1 {
+            let cp = pos(sp.kids[ki]);
+            let (a, b) = (sp.off[cp] as usize, sp.off[cp + 1] as usize);
+            let prev = sp.loff[sp.loff.len() - 2] as usize;
+            let prev_end = sp.loff[sp.loff.len() - 1] as usize;
+            sp.lv0.push(sp.lv0[ki] + sp.v0[cp]);
+            sp.llen.push(sp.llen[ki] + sp.len[cp] - 1);
+            let (mut i, mut k) = (prev, a);
+            let start = sp.lcnt.len();
+            while i < prev_end || k < b {
+                let (c2, s2) = if k >= b || (i < prev_end && sp.lstep[i] >= sp.step[k]) {
+                    let pair = (sp.lcnt[i], sp.lstep[i]);
+                    i += 1;
+                    pair
+                } else {
+                    let pair = (sp.cnt[k], sp.step[k]);
+                    k += 1;
+                    pair
+                };
+                if sp.lcnt.len() > start && sp.lstep[sp.lstep.len() - 1] == s2 {
+                    let at = sp.lcnt.len() - 1;
+                    sp.lcnt[at] += c2;
+                } else {
+                    sp.lcnt.push(c2);
+                    sp.lstep.push(s2);
+                }
+            }
+            sp.loff.push(sp.lcnt.len() as u32);
         }
-        for (i, &c) in kids.iter().enumerate() {
-            stack.push((c, splits[kids.len() - 1 - i]));
+        for ki in (0..sp.kids.len()).rev() {
+            let c = sp.kids[ki];
+            let cp = pos(c);
+            let child = sp.rep(cp);
+            let (a, b) = (sp.loff[ki] as usize, sp.loff[ki + 1] as usize);
+            let layer = Rep {
+                v0: sp.lv0[ki],
+                len: sp.llen[ki] as usize,
+                cnt: &sp.lcnt[a..b],
+                step: &sp.lstep[a..b],
+            };
+            let rp = argmin_min_rp(&layer, &child, rest);
+            sp.stack.push((c, rest - rp));
+            rest = rp;
         }
+        debug_assert_eq!(rest, 0);
     }
     Ok(rmin)
 }
 
+/// The split at cell `r` of `base ⊗ child`: the smallest `rp` minimising
+/// `base(rp) + child(r − rp)`, i.e. ties keep the largest child share.
+/// `G(rp)` is convex, so the answer is the first `rp` with
+/// `ΔG(rp) = child.step(r−1−rp) − base.step(rp) ≥ 0` — the predicate is
+/// monotone in `rp` (child steps re-read at *earlier* indices only grow,
+/// base steps at later indices only shrink), hence the binary search.
+fn argmin_min_rp(base: &Rep<'_>, child: &Rep<'_>, r: usize) -> usize {
+    if r == 0 {
+        return 0;
+    }
+    let lo = r.saturating_sub(child.len - 1);
+    let hi = r.min(base.len - 1);
+    debug_assert!(lo <= hi);
+    let (mut l, mut h) = (lo, hi);
+    while l < h {
+        let mid = l + (h - l) / 2;
+        if child.step_at(r - 1 - mid) >= base.step_at(mid) {
+            h = mid;
+        } else {
+            l = mid + 1;
+        }
+    }
+    l
+}
+
 /// Test-only window into the strict stage DP, so the integration proptests
-/// in `crates/core/tests/` can pin the pooled, forest-restricted pass (and
-/// its in-place `rmax` widening) against a naive full-subtree reference.
-/// Hidden: not part of the crate's API surface.
+/// in `crates/core/tests/` can pin the forest-restricted pass against a
+/// naive full-subtree reference. Hidden: not part of the crate's API
+/// surface.
 #[doc(hidden)]
 pub mod testing {
     use super::*;
@@ -595,31 +605,25 @@ pub mod testing {
     /// Result of one [`strict_dp`] run.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct StrictDpRun {
-        /// The stage root's `m_j(r)` table (size-capped; entries are exact
-        /// untruncated values, and the table is flat beyond the cap).
+        /// The stage root's full `m_j(r)` table: one entry per free node
+        /// of the active forest, plus `r = 0`.
         pub m_root: Vec<u64>,
         /// Smallest `r` with `m_j(r) = 0`, if any reaches zero.
         pub rmin: Option<usize>,
         /// The chosen placement (raw node indices) when `rmin` exists.
         pub chosen: Vec<u32>,
-        /// Size of the active forest the pass ran over.
-        pub active_len: usize,
     }
 
-    /// Runs the strict stage DP exactly as the oversized-stage fallback
-    /// drives it: active forest built from the demand rows, existing
-    /// `replicas` (node, load) contributing their spare, then one DP pass
-    /// per entry of `rmax_steps` — the first from scratch, each further
-    /// one widening the previous pass's capped vectors in place.
+    /// Runs the strict stage DP through the oversized-stage fallback
+    /// itself ([`fallback_placement`]): `demand` rows as the stuck volume,
+    /// existing `replicas` (node, load) contributing their spare.
     pub fn strict_dp(
         tree: &Tree,
         j: u32,
         cap: u64,
         replicas: &[(u32, u64)],
         demand: &[(u32, u64)],
-        rmax_steps: &[usize],
     ) -> StrictDpRun {
-        assert!(!rmax_steps.is_empty(), "at least one rmax step is required");
         let injected: u128 = demand.iter().map(|&(_, w)| w as u128).sum();
         assert!(
             injected <= Tree::MAX_REQUESTS as u128,
@@ -632,113 +636,15 @@ pub mod testing {
             scratch.in_r[u as usize] = true;
             scratch.load[u as usize] = l;
         }
-        for &(c, w) in demand {
-            if scratch.dp_demand[c as usize] == 0 {
-                scratch.dp_clients.push(c);
-            }
-            scratch.dp_demand[c as usize] += w;
-        }
-        // Active forest: the same `SolverScratch::build_active_forest`
-        // the stage engine uses, so the harness cannot drift from the
-        // production forest shape.
-        scratch.stage_id = 1;
-        let dp_clients = std::mem::take(&mut scratch.dp_clients);
-        scratch.build_active_forest(j, &dp_clients);
-        scratch.dp_clients = dp_clients;
-
-        let mut rmin = None;
-        let mut widen_from = None;
-        for &rmax in rmax_steps {
-            rmin = run_strict_dp(&mut scratch, cap, j, rmax, widen_from).ok();
-            widen_from = Some(rmax);
-        }
-        let active_len = scratch.active_nodes.len();
+        let stuck: Vec<PendingRequest> =
+            demand.iter().map(|&(client, w)| PendingRequest { d: 0, w, client }).collect();
+        let found = fallback_placement(&mut scratch, cap, j, &stuck).is_ok();
+        let root = scratch.sdp.rep(scratch.active_nodes.len() - 1);
+        let m_root: Vec<u64> = (0..root.len).map(|r| root.value_at(r)).collect();
         StrictDpRun {
-            m_root: scratch.dp_pool.cur.m_slice(active_len - 1).to_vec(),
-            rmin,
-            chosen: if rmin.is_some() { scratch.best_set.clone() } else { Vec::new() },
-            active_len,
+            rmin: m_root.iter().position(|&m| m == 0),
+            m_root,
+            chosen: if found { scratch.best_set.clone() } else { Vec::new() },
         }
-    }
-
-    /// Runs the *sparse* (chain-specialised) strict stage DP over the same
-    /// harness as [`strict_dp`], uncapped (`rmax` = the forest's free-node
-    /// count). `None` when the pass declines (a segment list outgrew
-    /// `chain_dp::SEG_CAP` and production would run the dense slabs);
-    /// otherwise the same [`StrictDpRun`] shape with `m_root` the full
-    /// `free + 1`-entry table reconstructed from the root's segments.
-    pub fn sparse_strict_dp(
-        tree: &Tree,
-        j: u32,
-        cap: u64,
-        replicas: &[(u32, u64)],
-        demand: &[(u32, u64)],
-    ) -> Option<StrictDpRun> {
-        let injected: u128 = demand.iter().map(|&(_, w)| w as u128).sum();
-        assert!(
-            injected <= Tree::MAX_REQUESTS as u128,
-            "harness demand must respect the tree-wide volume bound the u64 slabs rest on"
-        );
-        let mut scratch = SolverScratch::new();
-        scratch.load_arena(tree);
-        scratch.prepare_multiple_bin();
-        for &(u, l) in replicas {
-            scratch.in_r[u as usize] = true;
-            scratch.load[u as usize] = l;
-        }
-        for &(c, w) in demand {
-            if scratch.dp_demand[c as usize] == 0 {
-                scratch.dp_clients.push(c);
-            }
-            scratch.dp_demand[c as usize] += w;
-        }
-        scratch.stage_id = 1;
-        let dp_clients = std::mem::take(&mut scratch.dp_clients);
-        scratch.build_active_forest(j, &dp_clients);
-        scratch.dp_clients = dp_clients;
-        let free_active =
-            scratch.active_nodes.iter().filter(|&&u| !scratch.in_r[u as usize]).count();
-
-        let result = {
-            let SolverScratch {
-                arena,
-                in_r,
-                load,
-                dp_demand,
-                best_set,
-                active_nodes,
-                active_pos,
-                active_mark,
-                stage_id,
-                sdp,
-                stats,
-                ..
-            } = &mut scratch;
-            let stamp = *stage_id;
-            super::super::chain_dp::sparse_dp(
-                arena,
-                in_r,
-                load,
-                dp_demand,
-                best_set,
-                sdp,
-                active_nodes,
-                j,
-                cap,
-                false,
-                free_active,
-                &mut stats.dp_node_visits,
-                &|v| active_pos[v as usize] as usize,
-                &|c| active_mark[c as usize] == stamp,
-            )?
-        };
-        let active_len = scratch.active_nodes.len();
-        let rmin = result.ok();
-        Some(StrictDpRun {
-            m_root: super::super::chain_dp::root_table(&scratch.sdp, active_len - 1),
-            rmin,
-            chosen: if rmin.is_some() { scratch.best_set.clone() } else { Vec::new() },
-            active_len,
-        })
     }
 }

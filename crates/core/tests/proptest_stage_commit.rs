@@ -1,7 +1,8 @@
 //! Property tests for the incremental stage commit (`rp_core::stage`): on
-//! random **stage-dense** binary trees — long caterpillars and branchy
-//! binary shapes under tight distance budgets, so solves run many stages
-//! whose affected scopes are strict subsets of their subtrees — the
+//! random **stage-dense** binary trees — long caterpillars, branchy
+//! binary shapes and double brooms under tight distance budgets, so solves
+//! run many stages whose affected scopes are strict subsets of their
+//! subtrees (or, on the brooms, overlap along a shared spine) — the
 //! production path (scoped closure walk + fused buffered-write commit)
 //! must produce *exactly* the same solutions as the naive reference
 //! (whole-subtree fixpoint scans for the same scope, historical
@@ -68,18 +69,66 @@ fn branchy(internals: &[(u16, u64)], clients: &[(u16, u64, u64)]) -> Tree {
     b.freeze().expect("branchy construction keeps arity at 2")
 }
 
+/// Double-broom shape, binarised: a comb of clients near the root, then a
+/// bare spine, then a second comb at the far end. Stages triggered by the
+/// deep comb walk the same bare-spine prefix over and over, so consecutive
+/// scopes overlap heavily.
+fn double_broom(head: &[(u64, u64)], spine_len: usize, tail: &[(u64, u64)]) -> Tree {
+    let mut b = TreeBuilder::new();
+    let mut at = b.root();
+    for &(edge, req) in head {
+        at = b.add_internal(at, 1 + edge % 2);
+        b.add_client(at, 1, 1 + req % 9);
+    }
+    for i in 0..spine_len {
+        at = b.add_internal(at, 1 + (i as u64) % 3);
+    }
+    for &(edge, req) in tail {
+        at = b.add_internal(at, 1 + edge % 2);
+        b.add_client(at, 1, 1 + req % 9);
+    }
+    // The last spine node would otherwise be a childless internal, which
+    // the builder rejects; give it a terminal client.
+    b.add_client(at, 1, 1);
+    b.freeze().expect("double-broom construction is always valid")
+}
+
 fn scenario() -> impl Strategy<Value = Scenario> {
     (
-        any::<bool>(),                                                  // family pick
+        0u8..3,                                                         // family pick
         prop::collection::vec((0u64..2, 0u64..2, 0u64..9), 6..40),      // caterpillar picks
         prop::collection::vec((any::<u16>(), 0u64..3), 4..16),          // branchy internals
         prop::collection::vec((any::<u16>(), 0u64..3, 0u64..9), 4..24), // branchy clients
+        prop::collection::vec((0u64..2, 0u64..9), 2..12),               // broom head
+        2usize..14,                                                     // broom spine
+        prop::collection::vec((0u64..2, 0u64..9), 2..12),               // broom tail
         9u64..22,                                                       // capacity (≥ max r_i)
         prop::option::of(2u64..14),                                     // dmax
     )
-        .prop_map(|(spine, cat, internals, clients, capacity, dmax)| {
-            let tree = if spine { caterpillar(&cat) } else { branchy(&internals, &clients) };
+        .prop_map(|(family, cat, internals, clients, head, spine, tail, capacity, dmax)| {
+            let tree = match family {
+                0 => caterpillar(&cat),
+                1 => branchy(&internals, &clients),
+                _ => double_broom(&head, spine, &tail),
+            };
             Scenario { tree, capacity, dmax }
+        })
+}
+
+/// Double brooms only, with the wider distance budget the overlapping
+/// spine prefixes need to chain many stages across the bare spine.
+fn double_broom_scenario() -> impl Strategy<Value = Scenario> {
+    (
+        prop::collection::vec((0u64..2, 0u64..9), 2..12), // broom head
+        2usize..14,                                       // broom spine
+        prop::collection::vec((0u64..2, 0u64..9), 2..12), // broom tail
+        9u64..22,                                         // capacity (≥ max r_i)
+        prop::option::of(2u64..16),                       // dmax
+    )
+        .prop_map(|(head, spine, tail, capacity, dmax)| Scenario {
+            tree: double_broom(&head, spine, &tail),
+            capacity,
+            dmax,
         })
 }
 
@@ -118,6 +167,22 @@ proptest! {
         prop_assert_eq!(inc.commit_touched, naive.commit_touched);
         prop_assert_eq!(inc.commit_skipped, naive.commit_skipped);
     }
+
+    /// Consecutive deep-comb stages on a double broom re-walk the same
+    /// spine prefix, so their scopes overlap and each commit runs over the
+    /// previous stage's replicas. The incremental path must still reach
+    /// the naive whole-subtree fixpoint exactly.
+    #[test]
+    fn double_broom_commit_matches_naive_reference(s in double_broom_scenario()) {
+        let inst = Instance::new(s.tree.clone(), s.capacity, s.dmax).expect("positive capacity");
+        let (inc_sol, inc) = solve(&inst, false);
+        let (naive_sol, naive) = solve(&inst, true);
+        prop_assert_eq!(&inc_sol, &naive_sol, "commit paths diverged: {:?}", s);
+        validate(&inst, Policy::Multiple, &inc_sol).expect("incremental solution valid");
+        prop_assert_eq!(inc.stages, naive.stages);
+        prop_assert_eq!(inc.commit_touched, naive.commit_touched);
+        prop_assert_eq!(inc.commit_skipped, naive.commit_skipped);
+    }
 }
 
 #[test]
@@ -139,4 +204,23 @@ fn long_caterpillar_scopes_skip_most_volume() {
     );
     assert_eq!(inc.commit_skipped, naive.commit_skipped);
     assert_eq!(inc.commit_touched, naive.commit_touched);
+}
+
+#[test]
+fn deep_double_broom_incremental_matches_naive() {
+    // The overlapping-scope shape at depth: on a long double broom under a
+    // tight distance budget, consecutive deep-comb stages re-cross the
+    // previous stage's committed replicas along the shared spine. The
+    // incremental path must still match the naive reference exactly.
+    let head: Vec<(u64, u64)> = (0..24).map(|i| (i % 2, i * 5 % 9)).collect();
+    let tail: Vec<(u64, u64)> = (0..48).map(|i| ((i + 1) % 2, i * 7 % 9)).collect();
+    let tree = double_broom(&head, 24, &tail);
+    let inst = Instance::new(tree, 11, Some(10)).expect("positive capacity");
+    let (inc_sol, inc) = solve(&inst, false);
+    let (naive_sol, naive) = solve(&inst, true);
+    assert_eq!(inc_sol, naive_sol);
+    assert!(inc.stages > 10, "tight dmax must make the solve stage-dense: {inc:?}");
+    assert_eq!(inc.commit_touched, naive.commit_touched);
+    assert_eq!(inc.commit_skipped, naive.commit_skipped);
+    validate(&inst, Policy::Multiple, &inc_sol).expect("incremental solution valid");
 }

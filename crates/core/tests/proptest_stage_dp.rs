@@ -1,30 +1,23 @@
 //! Property tests for the pooled, active-forest-restricted strict stage DP
-//! (`rp_core::stage::dp_testing`, the engine behind the oversized-stage
-//! fallback): on random trees with **partial** demand — so the active
-//! forest is a strict sub-forest of the stage subtree — the pooled pass
-//! must produce
+//! (`rp_core::stage::dp_testing`, the convex segment pass behind both the
+//! enumeration's lower bound and the oversized-stage fallback): on random
+//! trees with **partial** demand — so the active forest is a strict
+//! sub-forest of the stage subtree — the pass must produce
 //!
 //! * exactly the `m_j(r)` table of a naive, unpooled, **full-subtree**
-//!   reference DP (allocating `Vec`s per node, no size caps, no forest
-//!   restriction — the shape the pre-PR 4 fallback had), entry for entry
-//!   below the pooled pass's size cap and flat beyond it. The reference
-//!   deliberately stays **128-bit wide** — it doubles as the width
-//!   cross-check for the narrowed 64-bit production slabs. Genuine cells
-//!   (≤ the stage's total demand) must agree exactly; infeasible cells
-//!   carry sentinel-relative values whose magnitudes differ between the
-//!   64- and 128-bit recurrences, so both sides normalise everything
-//!   above the genuine ceiling to one canonical "infeasible";
+//!   reference DP (allocating dense `Vec`s per node, no segment form, no
+//!   forest restriction), entry for entry over the pass's table and flat
+//!   beyond it. The reference deliberately stays **128-bit wide** — it
+//!   doubles as the width cross-check for the 64-bit production slabs;
 //! * the same minimal replica count `rmin`, with a chosen placement of
 //!   exactly that size on free nodes that the reference confirms serves
-//!   the whole volume;
-//! * identical results whether a given `rmax` is reached in one pass or by
-//!   widening a smaller pass in place (the slab-generation copy path).
+//!   the whole volume.
 
 use proptest::prelude::*;
-use rp_core::stage::dp_testing::{sparse_strict_dp, strict_dp};
+use rp_core::stage::dp_testing::strict_dp;
 use rp_tree::{Tree, TreeBuilder};
 
-/// Mirrors the DP's infeasibility sentinel (`stage/dp.rs`).
+/// Infeasibility sentinel of the reference's min-plus initialisation.
 const INFEASIBLE: u128 = u128::MAX / 4;
 
 /// A generated stage scenario: tree, stage root, capacity, existing
@@ -36,7 +29,6 @@ struct Scenario {
     cap: u64,
     replicas: Vec<(u32, u64)>,
     demand: Vec<(u32, u64)>,
-    rmax: usize,
 }
 
 fn scenario() -> impl Strategy<Value = Scenario> {
@@ -47,9 +39,8 @@ fn scenario() -> impl Strategy<Value = Scenario> {
         prop::collection::vec((any::<u16>(), 0u64..25), 0..6), // replica picks
         prop::collection::vec((any::<u16>(), 1u64..10), 0..12), // demand picks
         any::<u16>(),                                          // stage-root pick
-        1usize..12,                                            // rmax
     )
-        .prop_map(|(internals, clients, cap, replicas, demand, j_pick, rmax)| {
+        .prop_map(|(internals, clients, cap, replicas, demand, j_pick)| {
             let mut b = TreeBuilder::new();
             let mut nodes = vec![b.root()];
             for (pick, edge) in internals {
@@ -90,14 +81,15 @@ fn scenario() -> impl Strategy<Value = Scenario> {
                     dem.push((c, w));
                 }
             }
-            Scenario { tree, j, cap, replicas: rep, demand: dem, rmax }
+            Scenario { tree, j, cap, replicas: rep, demand: dem }
         })
 }
 
 /// The naive reference: recursive full-subtree DP with per-node `Vec`s and
 /// no size caps — `m_v(r)` for `r` up to the subtree's natural length.
-/// Same recurrence as `stage/dp.rs` (min-plus children, spare for existing
-/// replicas, one slot per free node, monotonicity fix-up).
+/// The recurrence `stage/dp.rs` documents, in its plain dense form
+/// (min-plus children, spare for existing replicas, one slot per free
+/// node, monotonicity fix-up).
 fn naive_m(
     tree: &Tree,
     v: u32,
@@ -169,36 +161,24 @@ proptest! {
 
     #[test]
     fn pooled_forest_dp_matches_naive_full_subtree_dp(s in scenario()) {
-        let run = strict_dp(&s.tree, s.j, s.cap, &s.replicas, &s.demand, &[s.rmax]);
+        let run = strict_dp(&s.tree, s.j, s.cap, &s.replicas, &s.demand);
         let naive = naive_tables(&s, &[]);
 
-        // Genuine pass-up volumes never exceed the stage's total demand;
-        // anything above it is an infeasible cell whose exact value is
-        // sentinel arithmetic (different between u64 and u128 widths).
-        let total: u128 = s.demand.iter().map(|&(_, w)| w as u128).sum();
-        let norm = |v: u128| if v > total { u128::MAX } else { v };
-
-        // Entry-for-entry agreement below the pooled pass's size cap…
+        // Entry-for-entry agreement over the pass's table (one entry per
+        // free node of the active forest, plus r = 0)…
         prop_assert!(!run.m_root.is_empty());
-        prop_assert!(run.m_root.len() <= s.rmax + 1);
+        prop_assert!(run.m_root.len() <= naive.len());
         for (r, &m) in run.m_root.iter().enumerate() {
-            let reference = naive.get(r).copied().unwrap_or(*naive.last().unwrap());
-            prop_assert_eq!(norm(m as u128), norm(reference), "m_j({}) diverged", r);
+            prop_assert_eq!(m as u128, naive[r], "m_j({}) diverged", r);
         }
-        // …and flatness beyond it: a pooled table shorter than `rmax + 1`
-        // was truncated at the active forest's free-node count, and extra
-        // replicas beyond that (necessarily off-forest in the reference)
-        // never reduce the pass-up volume.
-        let tail = norm(*run.m_root.last().unwrap() as u128);
-        if run.m_root.len() < s.rmax + 1 {
-            let upto = naive.len().min(s.rmax + 1);
-            for (r, &value) in naive.iter().enumerate().take(upto).skip(run.m_root.len()) {
-                prop_assert_eq!(norm(value), tail, "the truncated tail was not flat at r={}", r);
-            }
+        // …and flatness beyond it: extra replicas (necessarily off the
+        // active forest in the reference) never reduce the pass-up volume.
+        let tail = *run.m_root.last().unwrap() as u128;
+        for (r, &value) in naive.iter().enumerate().skip(run.m_root.len()) {
+            prop_assert_eq!(value, tail, "the reference tail was not flat at r={}", r);
         }
 
-        // rmin agreement within the pooled horizon.
-        let naive_rmin = naive.iter().take(run.m_root.len()).position(|&m| m == 0);
+        let naive_rmin = naive.iter().position(|&m| m == 0);
         prop_assert_eq!(run.rmin, naive_rmin);
 
         // The chosen placement has exactly rmin free nodes and, grafted as
@@ -213,67 +193,5 @@ proptest! {
             let served = naive_tables(&s, &run.chosen);
             prop_assert_eq!(served[0], 0, "chosen placement must serve the volume");
         }
-    }
-
-    #[test]
-    fn widened_pass_matches_fresh_pass(s in scenario(), lower in 1usize..12) {
-        // Reaching `rmax` by widening a smaller pass in place must be
-        // indistinguishable from running it fresh — table, rmin and the
-        // chosen placement alike (the copied cells are exact, argmins
-        // included).
-        let small = lower.min(s.rmax);
-        let widened = strict_dp(&s.tree, s.j, s.cap, &s.replicas, &s.demand, &[small, s.rmax]);
-        let fresh = strict_dp(&s.tree, s.j, s.cap, &s.replicas, &s.demand, &[s.rmax]);
-        prop_assert_eq!(widened, fresh);
-    }
-
-    #[test]
-    fn widening_in_two_steps_matches_one_step(s in scenario()) {
-        // Chained widenings (the fallback's informed jumps) compose.
-        let a = s.rmax;
-        let run = strict_dp(&s.tree, s.j, s.cap, &s.replicas, &s.demand, &[a, a + 2, a + 5]);
-        let fresh = strict_dp(&s.tree, s.j, s.cap, &s.replicas, &s.demand, &[a + 5]);
-        prop_assert_eq!(run, fresh);
-    }
-
-    #[test]
-    fn sparse_chain_dp_matches_dense_exact_table(s in scenario()) {
-        // The chain-specialised sparse pass must be interchangeable with
-        // the dense slabs wherever it accepts a forest: production swaps
-        // one engine for the other per stage, and the pinned bench
-        // trajectories rely on *exact* agreement — full table, rmin and
-        // the chosen placement, tie-breaks included.
-        let Some(sparse) = sparse_strict_dp(&s.tree, s.j, s.cap, &s.replicas, &s.demand) else {
-            // Declined (a segment list outgrew the cap): production runs
-            // the dense slabs alone, so there is nothing to compare.
-            return;
-        };
-        // The sparse table is uncapped (`free + 1` entries); ask the dense
-        // pass for the same horizon. `max(2)` keeps the degenerate
-        // zero-free-node forest (single-entry table) a valid dense rmax.
-        let rmax = sparse.m_root.len().max(2) - 1;
-        let dense = strict_dp(&s.tree, s.j, s.cap, &s.replicas, &s.demand, &[rmax]);
-
-        // Infeasible cells carry sentinel-relative magnitudes that differ
-        // between the segment rep and the dense recurrence; genuine cells
-        // (≤ the stage's total demand) must agree exactly.
-        let total: u128 = s.demand.iter().map(|&(_, w)| w as u128).sum();
-        let norm = |v: u64| if v as u128 > total { u64::MAX } else { v };
-
-        prop_assert_eq!(sparse.active_len, dense.active_len);
-        prop_assert_eq!(sparse.m_root.len(), dense.m_root.len(), "table horizons diverged");
-        for (r, (&sv, &dv)) in sparse.m_root.iter().zip(&dense.m_root).enumerate() {
-            prop_assert_eq!(norm(sv), norm(dv), "m_j({}) diverged between engines", r);
-        }
-        prop_assert_eq!(sparse.rmin, dense.rmin);
-        // The engines walk their backtracks in opposite directions, so the
-        // emission order differs; the *set* of opened nodes must match
-        // (downstream consumers — commit, cache, warm slot — are
-        // order-insensitive over the stage's placement).
-        let mut sparse_chosen = sparse.chosen.clone();
-        let mut dense_chosen = dense.chosen.clone();
-        sparse_chosen.sort_unstable();
-        dense_chosen.sort_unstable();
-        prop_assert_eq!(sparse_chosen, dense_chosen, "chosen placements must match as sets");
     }
 }

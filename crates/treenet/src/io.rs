@@ -17,6 +17,18 @@
 //!
 //! Node ids must be dense, the root must be node 0 with parent `-`, and a
 //! node's parent must appear on an earlier line.
+//!
+//! Solutions list one `client server amount` line per fragment, plus one
+//! `replica <node>` line per replica that processes no request, under a
+//! `replicas N` header the parser checks against the replica set it reads:
+//!
+//! ```text
+//! # replica-placement solution v1
+//! replicas 2
+//! 2 1 5              # client server amount
+//! 3 1 7
+//! replica 4          # an idle replica: placed, serving nothing
+//! ```
 
 use crate::error::TreeError;
 use crate::instance::Instance;
@@ -43,6 +55,14 @@ pub enum ParseError {
         /// Number of node lines actually present.
         found: usize,
     },
+    /// A solution's `replicas` header disagrees with the replica set its
+    /// fragment and `replica` lines describe.
+    ReplicaCountMismatch {
+        /// Number declared in the `replicas` header.
+        declared: usize,
+        /// Number of distinct replicas actually parsed.
+        found: usize,
+    },
     /// The parsed structure is not a valid tree/instance.
     Tree(TreeError),
 }
@@ -54,6 +74,9 @@ impl fmt::Display for ParseError {
             ParseError::MissingHeader(h) => write!(f, "missing `{h}` header"),
             ParseError::NodeCountMismatch { declared, found } => {
                 write!(f, "declared {declared} nodes but found {found}")
+            }
+            ParseError::ReplicaCountMismatch { declared, found } => {
+                write!(f, "declared {declared} replicas but found {found}")
             }
             ParseError::Tree(e) => write!(f, "invalid tree: {e}"),
         }
@@ -203,7 +226,9 @@ pub fn parse_instance(text: &str) -> Result<Instance, ParseError> {
     Ok(Instance::new(tree, capacity, dmax)?)
 }
 
-/// Renders a solution as `client server amount` lines.
+/// Renders a solution: the `replicas N` header, `client server amount`
+/// lines, and a `replica <node>` line for each idle replica (see the
+/// module docs), so [`parse_solution`] recovers the same replica set.
 pub fn write_solution(solution: &Solution) -> String {
     let mut out = String::new();
     out.push_str("# replica-placement solution v1\n");
@@ -211,36 +236,50 @@ pub fn write_solution(solution: &Solution) -> String {
     for f in solution.fragments() {
         out.push_str(&format!("{} {} {}\n", f.client.0, f.server.0, f.amount));
     }
+    for node in solution.idle_replicas() {
+        out.push_str(&format!("replica {}\n", node.0));
+    }
     out
 }
 
-/// Parses a solution written by [`write_solution`].
+/// Parses a solution written by [`write_solution`]. The `replicas` header
+/// is optional; when present it must match the parsed replica count.
 pub fn parse_solution(text: &str) -> Result<Solution, ParseError> {
     let mut sol = Solution::new();
+    let mut declared: Option<usize> = None;
     for (lineno, raw) in text.lines().enumerate() {
         let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() || line.starts_with("replicas") {
+        if line.is_empty() {
             continue;
         }
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        if fields.len() != 3 {
-            return Err(ParseError::Malformed {
-                line: lineno + 1,
-                reason: "expected `client server amount`".into(),
-            });
+        let malformed =
+            |reason: &str| ParseError::Malformed { line: lineno + 1, reason: reason.to_string() };
+        let node = |s: &str| s.parse::<u32>().map(NodeId).map_err(|_| malformed("invalid node id"));
+        match line.split_whitespace().collect::<Vec<_>>()[..] {
+            ["replicas", n] => {
+                if declared.is_some() {
+                    return Err(malformed("duplicate `replicas` header"));
+                }
+                declared = Some(n.parse().map_err(|_| malformed("expected `replicas <count>`"))?);
+            }
+            ["replica", v] => sol.force_replica(node(v)?),
+            [client, server, amount] => {
+                let amount = amount.parse().map_err(|_| malformed("invalid request amount"))?;
+                sol.assign(node(client)?, node(server)?, amount);
+            }
+            _ => {
+                return Err(malformed(
+                    "expected `client server amount`, `replica <node>` or `replicas <count>`",
+                ))
+            }
         }
-        let parse = |s: &str| -> Result<u64, ParseError> {
-            s.parse().map_err(|_| ParseError::Malformed {
-                line: lineno + 1,
-                reason: format!("invalid integer `{s}`"),
-            })
-        };
-        let client = NodeId(parse(fields[0])? as u32);
-        let server = NodeId(parse(fields[1])? as u32);
-        let amount = parse(fields[2])?;
-        sol.assign(client, server, amount);
     }
-    Ok(sol)
+    match declared {
+        Some(declared) if declared != sol.replica_count() => {
+            Err(ParseError::ReplicaCountMismatch { declared, found: sol.replica_count() })
+        }
+        _ => Ok(sol),
+    }
 }
 
 /// Convenience: round-trips a tree through the instance format (useful in
@@ -351,6 +390,21 @@ mod tests {
         let back = parse_solution(&text).unwrap();
         assert_eq!(back, sol);
         assert!(validate(&inst, Policy::Single, &back).is_ok());
+    }
+
+    #[test]
+    fn replica_header_must_match_the_parsed_set() {
+        let text = "replicas 3\n2 1 5\nreplica 0\n";
+        assert_eq!(
+            parse_solution(text).unwrap_err(),
+            ParseError::ReplicaCountMismatch { declared: 3, found: 2 }
+        );
+        assert!(parse_solution("2 1 5\nreplica 0\n").is_ok(), "the header is optional");
+        let bad =
+            ["replicas 1\nreplicas 1\n2 1 5\n", "replica\n", "replicas x\n", "2 4294967296 5\n"];
+        for bad in bad {
+            assert!(matches!(parse_solution(bad).unwrap_err(), ParseError::Malformed { .. }));
+        }
     }
 
     #[test]

@@ -86,6 +86,16 @@ impl Solution {
         r
     }
 
+    /// Replicas that process no request — nodes added through
+    /// [`Solution::force_replica`] without any fragment on them — sorted by
+    /// node id.
+    pub fn idle_replicas(&self) -> Vec<NodeId> {
+        let mut served: Vec<NodeId> = self.fragments.keys().map(|&(_, s)| s).collect();
+        served.sort_unstable();
+        served.dedup();
+        self.forced.iter().copied().filter(|n| served.binary_search(n).is_err()).collect()
+    }
+
     /// The objective value `|R|`: number of distinct nodes holding a replica.
     pub fn replica_count(&self) -> usize {
         self.replicas().len()

@@ -102,6 +102,25 @@ proptest! {
     }
 
     #[test]
+    fn solution_roundtrip_keeps_idle_replicas(
+        fragments in prop::collection::vec((0u32..40, 0u32..40, 0u64..9), 0..30),
+        forced in prop::collection::vec(0u32..60, 0..12),
+    ) {
+        let mut sol = Solution::new();
+        for &(client, server, amount) in &fragments {
+            sol.assign(NodeId(client), NodeId(server), amount);
+        }
+        for &node in &forced {
+            sol.force_replica(NodeId(node));
+        }
+        let back = rp_tree::io::parse_solution(&rp_tree::io::write_solution(&sol))
+            .expect("written solutions parse");
+        prop_assert_eq!(back.replicas(), sol.replicas());
+        prop_assert_eq!(back.idle_replicas(), sol.idle_replicas());
+        prop_assert_eq!(back.fragments().collect::<Vec<_>>(), sol.fragments().collect::<Vec<_>>());
+    }
+
+    #[test]
     fn io_roundtrip_arbitrary_trees(tree in arbitrary_tree(), capacity in 1u64..500) {
         let inst = Instance::new(tree, capacity, None).unwrap();
         let text = rp_tree::io::write_instance(&inst);
